@@ -278,7 +278,7 @@ class CTBroadcast(Protocol):
             lambda: self._recommit_matches(data, root),
         ):
             return None
-        return wire.deserialize(data)
+        return wire.deserialize(data, self.directory.verify_cache.decoded)
 
     def _recommit_matches(self, data: bytes, root: Any) -> bool:
         check_fragments = erasure.rs_encode(data, self.k, self.n)

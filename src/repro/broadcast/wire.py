@@ -20,32 +20,32 @@ from typing import Any, Optional
 
 from repro.net import codec
 
-#: Content-addressed decode memo: every party decodes the same broadcast
-#: codeword, so the bytes→value mapping (pure, deterministic) is computed
-#: once per distinct byte string.  Decoded values are frozen dataclasses
-#: shared by reference, exactly as the in-process simulator already shares
-#: the sender's objects.  Bounded: cleared wholesale when full.
-_decode_memo: dict[bytes, Any] = {}
-_DECODE_MEMO_LIMIT = 4096
-
-
 def serialize(value: Any) -> bytes:
     """Encode a protocol value to deterministic codec bytes."""
     return codec.encode(value)
 
 
-def deserialize(data: bytes) -> Optional[Any]:
-    """Decode bytes back into a value; ``None`` if the bytes are malformed."""
+def deserialize(data: bytes, memo: Optional[dict[bytes, Any]] = None) -> Optional[Any]:
+    """Decode bytes back into a value; ``None`` if the bytes are malformed.
+
+    ``memo`` is a content-addressed decode memo (bytes → value, pure and
+    deterministic) owned by the caller: every party of a run decodes the
+    same broadcast codeword, so the broadcast passes its directory's
+    :attr:`~repro.crypto.verify_cache.VerifyCache.decoded` and each
+    distinct byte string is decoded once per run.  Decoded values are
+    frozen dataclasses shared by reference, exactly as the in-process
+    simulator already shares the sender's objects.  Scoping the memo to
+    the run is what frees them once the run's directory is dropped.
+    """
     data = bytes(data)
     codec.encode_stats["wire.decode.calls"] += 1
-    if data in _decode_memo:
+    if memo is not None and data in memo:
         codec.encode_stats["wire.decode.hits"] += 1
-        return _decode_memo[data]
+        return memo[data]
     try:
         value = codec.decode(data)
     except codec.CodecError:
         value = None
-    if len(_decode_memo) >= _DECODE_MEMO_LIMIT:
-        _decode_memo.clear()
-    _decode_memo[data] = value
+    if memo is not None:
+        memo[data] = value
     return value

@@ -54,7 +54,7 @@ class IdentityMemo:
     support weak references are simply not memoized.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "__weakref__")
 
     def __init__(self) -> None:
         self._entries: dict[int, tuple[weakref.ref, Any]] = {}
@@ -197,6 +197,7 @@ class VerifyCache:
 
     __slots__ = (
         "_results",
+        "decoded",
         "stats",
         "_identity",
         "_lock",
@@ -207,6 +208,9 @@ class VerifyCache:
 
     def __init__(self) -> None:
         self._results: dict[tuple, Any] = {}
+        #: Run-scoped broadcast decode memo (codeword bytes -> value),
+        #: filled by :func:`repro.broadcast.wire.deserialize`.
+        self.decoded: dict[bytes, Any] = {}
         self.stats: Counter = Counter()
         self._identity: dict[str, IdentityMemo] = {}
         self._lock = threading.Lock()

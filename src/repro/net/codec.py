@@ -128,6 +128,11 @@ encode_stats: Counter = Counter()
 _payload_memo = IdentityMemo()
 _memoized_types: set[type] = set()
 
+# Registered frozen dataclasses that are neither payloads nor the
+# envelope: the value types a caller-supplied snapshot memo serves by
+# identity (see ``encode``).
+_snapshot_types: set[type] = set()
+
 # Envelope instance-path encodings, keyed by the path value itself (paths
 # are small hashable tuples and repeat for every message of an instance).
 # Value-keyed is sound: the encoding is a pure function of the value.
@@ -232,6 +237,8 @@ def register(cls: type, type_id: int, fields: Optional[tuple[str, ...]] = None) 
         # frozen object is addressed to all n recipients, so its struct
         # encoding is memoized by identity (see encode_stats above).
         _memoized_types.add(cls)
+    elif cls.__dataclass_params__.frozen and type_id != _ENVELOPE_ID:
+        _snapshot_types.add(cls)
     return cls
 
 
@@ -289,7 +296,9 @@ def _zigzag_decode(value: int) -> int:
 # -- encoding --------------------------------------------------------------------------
 
 
-def _encode_into(out: bytearray, value: Any) -> None:
+def _encode_into(
+    out: bytearray, value: Any, memo: Optional[IdentityMemo] = None
+) -> None:
     if value is None:
         out.append(_TAG_NONE)
     elif value is True:
@@ -317,21 +326,21 @@ def _encode_into(out: bytearray, value: Any) -> None:
         out.append(_TAG_TUPLE)
         _write_uvarint(out, len(value))
         for item in value:
-            _encode_into(out, item)
+            _encode_into(out, item, memo)
     elif type(value) is list:
         out.append(_TAG_LIST)
         _write_uvarint(out, len(value))
         for item in value:
-            _encode_into(out, item)
+            _encode_into(out, item, memo)
     elif type(value) in (frozenset, set):
         out.append(_TAG_FROZENSET if type(value) is frozenset else _TAG_SET)
-        parts = sorted(encode(item) for item in value)
+        parts = sorted(encode(item, memo) for item in value)
         _write_uvarint(out, len(parts))
         for part in parts:
             out.extend(part)
     elif type(value) is dict:
         out.append(_TAG_DICT)
-        pairs = sorted((encode(k), encode(v)) for k, v in value.items())
+        pairs = sorted((encode(k, memo), encode(v, memo)) for k, v in value.items())
         _write_uvarint(out, len(pairs))
         for key_bytes, value_bytes in pairs:
             out.extend(key_bytes)
@@ -349,6 +358,13 @@ def _encode_into(out: bytearray, value: Any) -> None:
         if type(value) in _memoized_types:
             out.extend(_payload_struct_bytes(value))
             return
+        if memo is not None and type(value) in _snapshot_types:
+            cached = memo.get(value)
+            if cached is None:
+                cached = _struct_bytes(value, type_id, fields, memo)
+                memo.put(value, cached)
+            out.extend(cached)
+            return
         out.append(_TAG_STRUCT)
         _write_uvarint(out, type_id)
         _write_uvarint(out, len(fields))
@@ -365,7 +381,7 @@ def _encode_into(out: bytearray, value: Any) -> None:
                 _encode_into(out, field_value)
             return
         for name in fields:
-            _encode_into(out, getattr(value, name))
+            _encode_into(out, getattr(value, name), memo)
 
 
 def _payload_struct_bytes(value: Any, count: bool = True) -> bytes:
@@ -387,15 +403,25 @@ def _payload_struct_bytes(value: Any, count: bool = True) -> bytes:
     if count:
         encode_stats["payload.misses"] += 1
     type_id, fields = _by_type[type(value)]
+    buffer = _struct_bytes(value, type_id, fields)
+    _payload_memo.put(value, buffer)
+    return buffer
+
+
+def _struct_bytes(
+    value: Any,
+    type_id: int,
+    fields: tuple[str, ...],
+    memo: Optional[IdentityMemo] = None,
+) -> bytes:
+    """One registered struct's standalone encoding (a memo entry)."""
     chunk = bytearray()
     chunk.append(_TAG_STRUCT)
     _write_uvarint(chunk, type_id)
     _write_uvarint(chunk, len(fields))
     for name in fields:
-        _encode_into(chunk, getattr(value, name))
-    buffer = bytes(chunk)
-    _payload_memo.put(value, buffer)
-    return buffer
+        _encode_into(chunk, getattr(value, name), memo)
+    return bytes(chunk)
 
 
 def _path_struct_bytes(path: tuple) -> Optional[bytes]:
@@ -415,14 +441,24 @@ def _path_struct_bytes(path: tuple) -> Optional[bytes]:
     return cached
 
 
-def encode(value: Any) -> bytes:
+def encode(value: Any, memo: Optional[IdentityMemo] = None) -> bytes:
     """Deterministically encode ``value`` to bytes.
+
+    ``memo`` is an optional snapshot memo: every registered frozen
+    dataclass (payloads and the envelope excepted — payloads have their
+    own process-wide memo) found in it is emitted from its cached bytes,
+    and every one that is not is encoded once and stored.  The bytes are
+    identical to an unmemoized encode *provided those struct values are
+    never mutated* — the same immutability the payload memo relies on.
+    Containers (tuples, lists, sets, dicts) are never memoized and are
+    walked afresh on every call.  The caller owns the memo and its
+    lifetime; :meth:`~repro.net.party.Party.freeze` keeps one per party.
 
     Raises :class:`CodecError` for unregistered/unsupported types.
     """
     _ensure_registered()
     out = bytearray()
-    _encode_into(out, value)
+    _encode_into(out, value, memo)
     return bytes(out)
 
 

@@ -41,6 +41,7 @@ import random
 from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, TYPE_CHECKING
 
+from repro.crypto.verify_cache import IdentityMemo
 from repro.net.conditions import ConditionRegistry
 from repro.net.envelope import Envelope, Path
 from repro.net.payload import Payload
@@ -207,6 +208,9 @@ class Party:
         self._outbox: list[tuple[int, Path, int, Payload]] = []
         self.current_depth = 0
         self.halted = False
+        #: Snapshot memo for :meth:`freeze` (created on first use, lives
+        #: exactly as long as this party).
+        self._snapshot_memo: Optional[IdentityMemo] = None
 
     # -- crypto access ---------------------------------------------------------------
 
@@ -470,9 +474,24 @@ class Party:
         order.  Constructor-time configuration (directory, secret, caps)
         is *not* serialized — a thawing party is rebuilt from the same
         trusted setup and the application's root factory.
+
+        Successive freezes share this party's snapshot memo (see
+        :func:`repro.net.codec.encode`): a frozen struct value — a PVSS
+        transcript, a reshare bundle, a certificate — is encoded once and
+        re-emitted from its cached bytes by every later checkpoint, while
+        the containers holding it are walked afresh each time.  This
+        relies on the precondition every ``STATE_FIELDS`` value already
+        meets: struct values are immutable once created; state changes
+        by replacing them or by mutating the containers around them.
         """
         from repro.net import codec
 
+        if self._snapshot_memo is None:
+            self._snapshot_memo = IdentityMemo()
+        return codec.encode(self.snapshot_value(), self._snapshot_memo)
+
+    def snapshot_value(self) -> tuple:
+        """The codec value :meth:`freeze` encodes (the state, not bytes)."""
         if self._outbox:
             raise RuntimeError(
                 "freeze() requires a drained outbox; snapshot at delivery "
@@ -497,7 +516,7 @@ class Party:
                     instances,
                 )
             )
-        value = (
+        return (
             SNAPSHOT_TAG,
             SNAPSHOT_VERSION,
             self.index,
@@ -507,7 +526,6 @@ class Party:
             dict(self.drop_stats),
             sessions,
         )
-        return codec.encode(value)
 
     def thaw(
         self,
