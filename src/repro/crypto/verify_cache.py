@@ -34,6 +34,7 @@ original's entry.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 import weakref
@@ -71,10 +72,23 @@ class IdentityMemo:
     def put(self, obj: Any, value: Any) -> None:
         oid = id(obj)
         try:
-            ref = weakref.ref(obj, lambda _ref, _e=self._entries, _k=oid: _e.pop(_k, None))
+            ref = weakref.ref(obj, functools.partial(_evict, weakref.ref(self), oid))
         except TypeError:
             return  # ints, tuples, ... — not weakref-able, not worth memoizing
         self._entries[oid] = (ref, value)
+
+
+def _evict(memo_ref: weakref.ref, oid: int, _ref: weakref.ref) -> None:
+    """Weakref callback: drop a dead key's entry if its memo still lives.
+
+    The callback holds the memo only weakly.  Closing over the entry dict
+    instead would make a cycle (dict -> entry -> weakref -> callback ->
+    dict) that kept every cached value of a dropped memo alive until the
+    next cyclic garbage collection.
+    """
+    memo = memo_ref()
+    if memo is not None:
+        memo._entries.pop(oid, None)
 
 
 #: Process-wide digest memo: object identity -> canonical content digest.

@@ -9,6 +9,13 @@ recipient's protocol stack — so a full run proves the protocols execute
 unchanged over an actual socket boundary, with nothing shared in memory
 between sender and recipient but bytes.
 
+Receive memo: each local party decodes its frames through its own
+:class:`repro.net.codec.ReceiveMemo`, created when its first connection
+is accepted and dropped at close, so a nested value that party has
+already received (a key tuple echoed by every peer, a vote certificate)
+is decoded once and held as one object.  Memos are per party and keyed by bytes; no
+memo, and no object decoded through one, is shared across parties.
+
 Framing: a 4-byte big-endian length followed by one frame body.  On the
 batched plane (default) a body is a multi-envelope batch frame
 (:func:`repro.net.codec.encode_batch`) coalescing every envelope one
@@ -191,6 +198,9 @@ class TCPRuntime(RealtimeTransport):
         #: once, at send time.
         self.resent_frames = 0
         self._closing = False
+        # One receive memo per local party, shared by all its inbound
+        # connections (reconnects included); never shared between parties.
+        self._receive_memos: dict[int, codec.ReceiveMemo] = {}
         self._servers: list[asyncio.AbstractServer] = []
         self._links: dict[tuple[int, int], _Link] = {}
         body = codec.encode_heartbeat()
@@ -272,6 +282,7 @@ class TCPRuntime(RealtimeTransport):
         )
         self._links.clear()
         self._servers.clear()
+        self._receive_memos.clear()
 
     def kill_connection(self, sender: int, recipient: int) -> None:
         """Kill one ordered link's current socket mid-run (test/chaos hook).
@@ -485,6 +496,9 @@ class TCPRuntime(RealtimeTransport):
     async def _read_frames(
         self, party: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        memo = self._receive_memos.get(party)
+        if memo is None:
+            memo = self._receive_memos[party] = codec.ReceiveMemo()
         try:
             while True:
                 try:
@@ -504,7 +518,7 @@ class TCPRuntime(RealtimeTransport):
                     self.heartbeats_seen += 1
                     continue
                 try:
-                    envelopes = codec.decode_batch(frame)
+                    envelopes = codec.decode_batch(frame, memo)
                 except codec.CodecError:
                     self.rejected_frames += 1
                     continue

@@ -7,7 +7,9 @@ with even one mutated byte can never inherit the unmutated original's
 (lack of) merits.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -85,6 +87,44 @@ def test_identity_memo_never_aliases_a_different_object(setup):
     clone = codec.decode(codec.encode(transcript))
     assert clone == transcript
     assert memo.get(clone) is None
+
+
+def test_dropped_identity_memo_frees_its_values_without_a_collection():
+    """A dropped memo whose keys are alive must not keep its cached values.
+
+    The weakref callbacks hold the memo only weakly; closing over its
+    entry dict formed a cycle that only a cyclic collection could free.
+    """
+
+    class Key:
+        pass
+
+    class Cached:
+        pass
+
+    keys = [Key() for _ in range(3)]
+    memo = IdentityMemo()
+    cached = []
+    for key in keys:
+        value = Cached()
+        memo.put(key, value)
+        cached.append(weakref.ref(value))
+    del value
+    assert memo.get(keys[0]) is cached[0]()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del memo
+        assert [ref() for ref in cached] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+    # A live memo still evicts the entry of a key that dies.
+    memo = IdentityMemo()
+    memo.put(keys[0], Cached())
+    assert len(memo) == 1
+    del key, keys
+    assert len(memo) == 0
 
 
 def test_content_digest_is_content_addressed(setup):
