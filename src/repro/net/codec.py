@@ -466,15 +466,16 @@ def encode(value: Any, memo: Optional[IdentityMemo] = None) -> bytes:
 # -- decoding --------------------------------------------------------------------------
 
 
-#: Smallest encodings a :class:`ReceiveMemo` stores.  Below these sizes a
-#: lookup saves little and the entries only add memory: with 0 B or 16 B
-#: for structs ``adkg-tcp-n10`` ran no faster and peaked 1.0–1.3 MB higher
-#: (three 30 s runs each on a 2-core host).
-_RECEIVE_MIN_TUPLE = 16
-_RECEIVE_MIN_STRUCT = 48
+#: Smallest encoding a :class:`ReceiveMemo` stores, and the length of
+#: the prefix it indexes entries by.  Below it a lookup saves little and
+#: the entries only add memory: with 0 B or 16 B ``adkg-tcp-n10`` ran no
+#: faster and peaked 1.0–1.3 MB higher (three 30 s runs each on a 2-core
+#: host).  The stored encodings of an ``adkg-tcp-n10`` run differ within
+#: their first 48 bytes, so one entry per prefix loses no hits there.
+_RECEIVE_MIN = 48
 #: Byte budget of one :class:`ReceiveMemo` (the encoded bytes of its
 #: entries); a store that would exceed it clears the memo first, as the
-#: path memo is cleared.  An ``adkg-tcp-n10`` party stores ~83 KB.
+#: path memo is cleared.  An ``adkg-tcp-n10`` party stores ~46 KB.
 _RECEIVE_MEMO_BUDGET = 1 << 20
 
 
@@ -487,15 +488,23 @@ class ReceiveMemo:
     memos further down (``value_digest``, ``content_digest``, the
     ``VerifyCache`` identity layer) hit for it as well.
 
-    Entries are tuples and registered frozen value structs (never
-    payloads, the envelope, lists, sets or dicts) decoded at depth >= 1,
-    whose encoding is at least ``_RECEIVE_MIN_TUPLE`` /
-    ``_RECEIVE_MIN_STRUCT`` bytes and whose subtree holds no mutable
-    value, so a shared object is never one a handler could mutate.  An
-    entry keeps the depth it was decoded at and hits only at that depth
-    or shallower, which keeps the nesting bound exact.  Encodings are
-    self-delimiting, so bytes at the current position that equal a stored
-    encoding are exactly what a fresh decode would consume.
+    Entries are registered frozen value structs (never payloads, the
+    envelope, tuples, lists, sets or dicts) decoded at depth >= 1, whose
+    encoding is at least ``_RECEIVE_MIN`` bytes and whose subtree holds
+    no mutable value, so a shared object is never one a handler could
+    mutate.  An entry keeps the depth it was decoded at and hits only at
+    that depth or shallower, which keeps the nesting bound exact.
+    Encodings are self-delimiting, so bytes at the current position that
+    start with a stored encoding are exactly what a fresh decode would
+    consume.
+
+    Entries are indexed by their first ``_RECEIVE_MIN`` bytes, one entry
+    per prefix (the latest stored wins), so a lookup costs one short
+    slice and one dict probe however many entries are stored, plus a
+    comparison that stops at the first differing byte.  Bytes that match
+    a stored encoding so far decode exactly as it did, so that comparison
+    never runs past what a fresh decode of the value would read anyway:
+    decoding stays linear in the frame with a memo, warm or crafted.
 
     Bytes are the key, not identity, so a memo belongs to one party:
     sharing it would share decoded objects between parties that share
@@ -503,7 +512,7 @@ class ReceiveMemo:
     encoded bytes.
     """
 
-    __slots__ = ("size", "_mutable", "_entries", "_lengths")
+    __slots__ = ("size", "_mutable", "_entries")
 
     def __init__(self) -> None:
         #: Encoded bytes currently stored.
@@ -512,48 +521,36 @@ class ReceiveMemo:
         # structs).  A value is stored only if this did not move while
         # its subtree was decoded.
         self._mutable = 0
-        self._entries: dict[bytes, tuple[Any, int]] = {}
-        # Stored encoding lengths per struct type id (>= 0) or per tuple
-        # arity (``~arity`` < 0): the only slices worth looking up.
-        self._lengths: dict[int, set[int]] = {}
+        # prefix -> (encoding, value, depth decoded at)
+        self._entries: dict[bytes, tuple[bytes, Any, int]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()
-        self._lengths.clear()
         self.size = 0
 
-    def _lookup(
-        self, data: bytes, start: int, lengths: set[int], depth: int
-    ) -> Optional[tuple[Any, int]]:
-        """The stored value encoded at ``data[start:]`` and its end, if any.
-
-        ``lengths`` are the stored lengths of the kind opening there.
-        """
-        limit = len(data)
-        for length in lengths:
-            end = start + length
-            if end <= limit:
-                entry = self._entries.get(data[start:end])
-                if entry is not None and depth <= entry[1]:
-                    return entry[0], end
+    def _lookup(self, data: bytes, start: int, depth: int) -> Optional[tuple[Any, int]]:
+        """The stored value encoded at ``data[start:]`` and its end, if any."""
+        entry = self._entries.get(data[start : start + _RECEIVE_MIN])
+        if entry is not None:
+            encoding, value, stored_depth = entry
+            if depth <= stored_depth and data.startswith(encoding, start):
+                return value, start + len(encoding)
         return None
 
-    def _store(
-        self, data: bytes, start: int, end: int, kind: int, value: Any, depth: int
-    ) -> None:
+    def _store(self, data: bytes, start: int, end: int, value: Any, depth: int) -> None:
         length = end - start
         if length > _RECEIVE_MEMO_BUDGET:
             return
-        encoding = data[start:end]
-        if encoding not in self._entries:
-            if self.size + length > _RECEIVE_MEMO_BUDGET:
-                self.clear()
-            self.size += length
-            self._lengths.setdefault(kind, set()).add(length)
-        self._entries[encoding] = (value, depth)
+        old = self._entries.pop(data[start : start + _RECEIVE_MIN], None)
+        if old is not None:
+            self.size -= len(old[0])
+        if self.size + length > _RECEIVE_MEMO_BUDGET:
+            self.clear()
+        self._entries[data[start : start + _RECEIVE_MIN]] = (data[start:end], value, depth)
+        self.size += length
 
 
 def _decode_from(
@@ -596,27 +593,12 @@ def _decode_from(
         count, pos = _read_uvarint(data, pos)
         if count > len(data):  # cheap bound: every item costs >= 1 byte
             raise CodecError("container length exceeds buffer")
-        interned = memo is not None and depth and tag == _TAG_TUPLE
-        if interned:
-            lengths = memo._lengths.get(~count)
-            if lengths:
-                hit = memo._lookup(data, start, lengths, depth)
-                if hit is not None:
-                    return hit
-            mutable = memo._mutable
         items = []
         for _ in range(count):
             item, pos = _decode_from(data, pos, depth + 1, memo)
             items.append(item)
         if tag == _TAG_TUPLE:
-            value = tuple(items)
-            if (
-                interned
-                and pos - start >= _RECEIVE_MIN_TUPLE
-                and memo._mutable == mutable
-            ):
-                memo._store(data, start, pos, ~count, value, depth)
-            return value, pos
+            return tuple(items), pos
         if memo is not None and tag != _TAG_FROZENSET:
             memo._mutable += 1
         if tag == _TAG_LIST:
@@ -671,11 +653,9 @@ def _decode_from(
             checkers = checkers[:count]
         interned = memo is not None and depth and cls in _snapshot_types
         if interned:
-            lengths = memo._lengths.get(type_id)
-            if lengths:
-                hit = memo._lookup(data, start, lengths, depth)
-                if hit is not None:
-                    return hit
+            hit = memo._lookup(data, start, depth)
+            if hit is not None:
+                return hit
             mutable = memo._mutable
         values = []
         for name, checker in zip(fields, checkers):
@@ -689,8 +669,8 @@ def _decode_from(
         except Exception as exc:
             raise CodecError(f"cannot construct {cls.__name__}: {exc}") from exc
         if interned:
-            if pos - start >= _RECEIVE_MIN_STRUCT and memo._mutable == mutable:
-                memo._store(data, start, pos, type_id, value, depth)
+            if pos - start >= _RECEIVE_MIN and memo._mutable == mutable:
+                memo._store(data, start, pos, value, depth)
         elif memo is not None and not cls.__dataclass_params__.frozen:
             memo._mutable += 1
         return value, pos
@@ -1008,9 +988,10 @@ def decode_batch(data: bytes, memo: Optional[ReceiveMemo] = None) -> list:
     :class:`CodecError`.
 
     ``memo`` is the receiving party's optional :class:`ReceiveMemo`.
-    With one, a nested tuple or frozen value struct whose bytes the party
-    has decoded before comes back as the object decoded then, instead of
-    a fresh equal copy; payloads and envelopes are always built afresh.
+    With one, a nested frozen value struct whose bytes the party has
+    decoded before comes back as the object decoded then, instead of a
+    fresh equal copy; payloads, envelopes and batch headers are always
+    built afresh.
     The result equals a memo-less decode, and so does every error.  The
     TCP runtime keeps one memo per local party; ``memo=None`` decodes
     everything afresh.
@@ -1053,7 +1034,7 @@ def decode_batch(data: bytes, memo: Optional[ReceiveMemo] = None) -> list:
         index, pos = _read_uvarint(data, pos)
         if index >= blob_count:
             raise CodecError("batch payload index out of range")
-        header, pos = _decode_from(data, pos, 0, memo)
+        header, pos = _decode_from(data, pos)
         if not isinstance(header, tuple) or len(header) != 5:
             raise CodecError("malformed batch envelope header")
         path, sender, recipient, depth, session = header

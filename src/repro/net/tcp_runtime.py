@@ -11,10 +11,11 @@ between sender and recipient but bytes.
 
 Receive memo: each local party decodes its frames through its own
 :class:`repro.net.codec.ReceiveMemo`, created when its first connection
-is accepted and dropped at close, so a nested value that party has
-already received (a key tuple echoed by every peer, a vote certificate)
-is decoded once and held as one object.  Memos are per party and keyed by bytes; no
-memo, and no object decoded through one, is shared across parties.
+is accepted and dropped at close, so a nested frozen value that party
+has already received (the key tuple and aggregated transcript every peer
+echoes, a Merkle proof) is decoded once and held as one object.  Memos
+are per party and keyed by bytes; no memo, and no object decoded through
+one, is shared across parties.
 
 Framing: a 4-byte big-endian length followed by one frame body.  On the
 batched plane (default) a body is a multi-envelope batch frame

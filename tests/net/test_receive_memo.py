@@ -9,6 +9,7 @@ returns what a memo-less decode returns, or raises the same
 
 import asyncio
 import dataclasses
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -64,21 +65,24 @@ def _outcome(decoder, data):
 
 
 def _nested_ids(envelopes) -> set[int]:
-    """Identities of every nested tuple and struct in the payloads."""
+    """Identities of every nested registered struct in the payloads."""
     return {id(value) for e in envelopes for value in _nested(e.payload)}
 
 
 def _nested(value):
-    """Every non-empty tuple and registered struct inside ``value``."""
+    """Every registered struct inside ``value``, tuples walked through."""
     if type(value) is tuple:
-        if value:
-            yield value
         for item in value:
             yield from _nested(item)
     elif type(value) in codec._by_type:
         yield value
         for name in codec._by_type[type(value)][1]:
             yield from _nested(getattr(value, name))
+
+
+def _key_tuple(value) -> KeyTuple:
+    """A frozen value struct holding anything (its ``value`` is ``Any``)."""
+    return KeyTuple(view=1, value=value, proof=None)
 
 
 # -- property tests for the decoders ---------------------------------------------------
@@ -204,12 +208,13 @@ def test_tcp_runtime_keeps_one_memo_per_party(tcp_frames):
 
 
 def test_nesting_bound_stays_exact_with_a_warm_memo():
-    value = b"x" * 20
+    deep = b"x" * 60
     for _ in range(61):
-        value = (value,)
+        deep = (deep,)
+    value = (_key_tuple(deep),)  # innermost bytes at depth 63 of 64
     memo = codec.ReceiveMemo()
     assert codec.decode(codec.encode(value), memo) == value
-    assert codec.decode(codec.encode(value), memo) == value  # hits
+    assert codec.decode(codec.encode(value), memo)[0] is value_of(memo)  # hits
     wrapped = value
     for _ in range(10):
         wrapped = (wrapped,)
@@ -220,20 +225,35 @@ def test_nesting_bound_stays_exact_with_a_warm_memo():
         codec.decode(encoded, memo)
 
 
-def test_a_stored_encoding_never_reaches_past_the_buffer():
-    """A value at the end of a buffer hits only a stored encoding that fits.
+def value_of(memo: codec.ReceiveMemo):
+    """The single value ``memo`` holds."""
+    ((_encoding, value, _depth),) = memo._entries.values()
+    return value
 
-    The tail of the buffer is a stored 1-tuple; a longer stored 1-tuple
-    sliced there would be cut short to the same bytes.
-    """
-    short = (b"s" * 26,)
-    for extra in range(1, 8):  # whichever order the stored lengths iterate in
-        memo = codec.ReceiveMemo()
-        for value in (short, (b"s" * (26 + extra),)):
-            codec.decode(codec.encode((value,)), memo)
-        assert len(memo) == 2
-        tail = (1, short)
-        assert codec.decode(codec.encode(tail), memo) == tail
+
+def test_a_shared_prefix_hits_only_on_the_whole_encoding():
+    """Entries are indexed by their first bytes; the rest must match too,
+    also when the buffer ends before a stored encoding would."""
+    head = b"p" * 60  # longer than the indexed prefix
+    stored = _key_tuple((head, b"s" * 30))
+    memo = codec.ReceiveMemo()
+    codec.decode(codec.encode((stored,)), memo)
+    assert len(memo) == 1
+    for other in (
+        _key_tuple((head, b"t" * 30)),
+        _key_tuple((head, b"s" * 29)),
+        _key_tuple((head, b"s" * 31)),
+        _key_tuple((head, "s" * 30)),
+    ):
+        for value in ((other,), (other, 1), (1, other)):
+            decoded = codec.decode(codec.encode(value), memo)
+            assert decoded == value
+            assert stored not in decoded
+    # The latest value stored under a prefix replaces the one before.
+    assert len(memo) == 1
+    again = codec.decode(codec.encode((stored,)), memo)[0]
+    assert again == stored and value_of(memo) is again
+    assert memo.size == len(codec.encode(stored))
 
 
 def test_byte_budget_is_enforced(monkeypatch):
@@ -241,16 +261,59 @@ def test_byte_budget_is_enforced(monkeypatch):
     monkeypatch.setattr(codec, "_RECEIVE_MEMO_BUDGET", budget)
     memo = codec.ReceiveMemo()
     for index in range(100):
-        value = ((index, b"y" * 30),)
+        value = (_key_tuple((index, b"y" * 50)),)
         assert codec.decode(codec.encode(value), memo) == value
         assert 0 < memo.size <= budget
-        assert memo.size == sum(len(key) for key in memo._entries)
+        assert memo.size == sum(len(entry[0]) for entry in memo._entries.values())
     assert len(memo) < 100  # cleared on overflow
     # A value larger than the whole budget is never stored.
     memo.clear()
-    big = ((b"z" * (budget + 1),),)
+    big = (_key_tuple(b"z" * (budget + 1)),)
     assert codec.decode(codec.encode(big), memo) == big
     assert len(memo) == 0 and memo.size == 0
+
+
+def _crafted_memo() -> codec.ReceiveMemo:
+    """A memo holding one large entry that shares its indexed prefix with
+    ``_key_tuple((_HEAD, ...))``, and many entries of distinct lengths."""
+    memo = codec.ReceiveMemo()
+    codec.decode(codec.encode((_key_tuple((_HEAD, b"L" * 400_000)),)), memo)
+    for length in range(300):
+        codec.decode(codec.encode((_key_tuple((b"d" * (60 + length),)),)), memo)
+    assert len(memo) >= 301
+    return memo
+
+
+_HEAD = b"h" * 60
+
+
+def _decode_seconds(data: bytes, memo_factory) -> float:
+    best = float("inf")
+    for _ in range(3):
+        memo = memo_factory()
+        began = time.perf_counter()
+        codec.decode(data, memo)
+        best = min(best, time.perf_counter() - began)
+    return best
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        # Never stored (they hold a list), so the large entry stays.
+        [_key_tuple((_HEAD, [index])) for index in range(8_000)],
+        [(None,)] * 100_000 + [(b"d" * 60,)] * 3_000,
+    ],
+    ids=["prefix-sharing-structs", "small-tuples"],
+)
+def test_a_crafted_warm_memo_keeps_decoding_linear(value):
+    """Stored entries, however large or many, cost a lookup O(1) plus a
+    comparison no longer than the bytes the value spans."""
+    data = codec.encode(value)
+    assert len(data) > 400_000  # the large entry would fit at every position
+    assert codec.decode(data, _crafted_memo()) == value
+    fresh = _decode_seconds(data, lambda: None)
+    assert _decode_seconds(data, _crafted_memo) < 3 * fresh + 0.05
 
 
 def test_two_memos_never_return_the_same_nested_object(tcp_frames):
@@ -264,11 +327,12 @@ def test_two_memos_never_return_the_same_nested_object(tcp_frames):
 
 def test_only_immutable_nested_values_are_stored(tcp_frames):
     memo = _warm_memo(tcp_frames["frames"])
-    for key, (value, depth) in memo._entries.items():
+    for prefix, (encoding, value, depth) in memo._entries.items():
         assert depth >= 1
-        assert type(value) is tuple or type(value) in codec._snapshot_types
+        assert type(value) in codec._snapshot_types
         assert not isinstance(value, (Payload, Envelope))
-        assert codec.encode(value) == key
+        assert codec.encode(value) == encoding
+        assert encoding[: codec._RECEIVE_MIN] == prefix
 
 
 @dataclasses.dataclass
@@ -282,11 +346,12 @@ codec.register(_Unfrozen, 9200)
 @pytest.mark.parametrize(
     "inner",
     [
-        (b"w" * 20, [1, 2]),
-        KeyTuple(view=1, value={b"k": b"v" * 40}, proof=None),
-        (b"w" * 20, _Unfrozen((1, 2))),
+        _key_tuple((b"w" * 60, [1, 2])),
+        _key_tuple({b"k": b"v" * 60}),
+        _key_tuple((b"w" * 60, _Unfrozen((1, 2)))),
+        _key_tuple((b"w" * 60, {3, 4})),
     ],
-    ids=["tuple-holding-list", "struct-holding-dict", "tuple-holding-unfrozen"],
+    ids=["list", "dict", "unfrozen-struct", "set"],
 )
 def test_values_holding_mutable_values_are_never_shared(inner):
     """A handler may mutate a list, dict or non-frozen struct it got."""
